@@ -10,7 +10,7 @@
 //                           term overlay) plus DELETE DATA of base triples
 //                           (tombstones), timed end to end.
 //   3. read-delta/<q>     — the same queries with the delta populated
-//                           (overlay solver; scan = base − tombstones ∪ delta).
+//                           (delta-view index join; scan = base − tombstones ∪ delta).
 //   4. compact            — synchronous Compact(): pause ms + resulting base.
 //   5. read-compacted/<q> — queries again; results must match read-delta.
 //
@@ -203,7 +203,7 @@ int main() {
       report.results.push_back(std::move(res));
     }
 
-    bench::PrintHeader(tag + ": reads, delta populated (overlay solver)");
+    bench::PrintHeader(tag + ": reads, delta populated (delta-view index join)");
     RunReads(tag + "/read-delta", store, reps, &report);
 
     bench::PrintHeader(tag + ": compaction");

@@ -1,6 +1,8 @@
 #include "baseline/solvers.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <unordered_map>
 
 namespace turbo::baseline {
@@ -43,11 +45,11 @@ struct ResolvedPattern {
   Slot s, p, o;
 };
 
-/// Resolves pattern positions against the dictionary and the bound row.
-/// Returns false if a constant is not in the dictionary (zero results).
+/// Resolves pattern positions through `find` (term -> id) and the bound
+/// row. Returns false if a constant does not resolve (zero results).
+template <typename FindFn>
 bool Resolve(const std::vector<TriplePattern>& bgp, const VarRegistry& vars,
-             const Row& bound, const rdf::Dictionary& dict,
-             std::vector<ResolvedPattern>* out) {
+             const Row& bound, const FindFn& find, std::vector<ResolvedPattern>* out) {
   auto slot = [&](const PatternTerm& pt, Slot* s) {
     if (pt.is_var()) {
       int vi = *vars.Find(pt.var);
@@ -58,7 +60,7 @@ bool Resolve(const std::vector<TriplePattern>& bgp, const VarRegistry& vars,
       }
       return true;
     }
-    auto t = dict.Find(pt.term);
+    auto t = find(pt.term);
     if (!t) return false;
     s->term = *t;
     return true;
@@ -103,7 +105,8 @@ util::Status SortMergeBgpSolver::Evaluate(
     const std::vector<const sparql::FilterExpr*>& /*pushable: executor re-checks*/,
     const RowSink& emit, const EvalControl& control) const {
   std::vector<ResolvedPattern> patterns;
-  if (!Resolve(bgp, vars, bound, dict_, &patterns)) return util::Status::Ok();
+  auto find = [&](const rdf::Term& t) { return dict_.Find(t); };
+  if (!Resolve(bgp, vars, bound, find, &patterns)) return util::Status::Ok();
   ControlTicker ticker(control);
 
   struct Relation {
@@ -230,8 +233,18 @@ util::Status IndexJoinBgpSolver::Evaluate(
     const std::vector<TriplePattern>& bgp, const VarRegistry& vars, const Row& bound,
     const std::vector<const sparql::FilterExpr*>& /*pushable: executor re-checks*/,
     const RowSink& emit, const EvalControl& control) const {
+  // Overlay ids at or above overlay_limit were interned by later updates:
+  // they cannot occur in this view's triples, so a constant resolving there
+  // has zero results, same as an unknown term.
+  auto find = [&](const rdf::Term& term) -> std::optional<TermId> {
+    if (auto t = dict_.Find(term)) return t;
+    if (delta_.overlay) {
+      if (auto t = delta_.overlay->FindId(term); t && *t < delta_.overlay_limit) return t;
+    }
+    return std::nullopt;
+  };
   std::vector<ResolvedPattern> patterns;
-  if (!Resolve(bgp, vars, bound, dict_, &patterns)) return util::Status::Ok();
+  if (!Resolve(bgp, vars, bound, find, &patterns)) return util::Status::Ok();
   if (patterns.empty()) {
     Row seed = bound;
     seed.resize(vars.size(), kInvalidId);
@@ -239,6 +252,8 @@ util::Status IndexJoinBgpSolver::Evaluate(
     return util::Status::Ok();
   }
   ControlTicker ticker(control);
+  const TombstoneSet* tombstones =
+      delta_.tombstones && !delta_.tombstones->empty() ? delta_.tombstones : nullptr;
 
   // Selectivity-ordered greedy plan: repeatedly take the cheapest pattern,
   // preferring ones connected to already-bound variables.
@@ -249,9 +264,11 @@ util::Status IndexJoinBgpSolver::Evaluate(
     if (bound[i] != kInvalidId) var_bound[i] = true;
 
   auto estimate = [&](const ResolvedPattern& rp) {
-    return index_.Count(rp.s.is_var() ? kInvalidId : rp.s.term,
-                        rp.p.is_var() ? kInvalidId : rp.p.term,
-                        rp.o.is_var() ? kInvalidId : rp.o.term);
+    TermId s = rp.s.is_var() ? kInvalidId : rp.s.term;
+    TermId p = rp.p.is_var() ? kInvalidId : rp.p.term;
+    TermId o = rp.o.is_var() ? kInvalidId : rp.o.term;
+    // Tombstones make the base count an overestimate; fine for ordering.
+    return index_.Count(s, p, o) + (delta_.delta ? delta_.delta->Count(s, p, o) : 0);
   };
   auto connected = [&](const ResolvedPattern& rp) {
     for (const Slot* s : {&rp.s, &rp.p, &rp.o})
@@ -292,8 +309,8 @@ util::Status IndexJoinBgpSolver::Evaluate(
       if (!s.is_var()) return s.term;
       return row[s.var];  // kInvalidId if still free
     };
-    auto span = index_.Lookup(value_of(rp.s), value_of(rp.p), value_of(rp.o));
-    for (const rdf::Triple& t : span) {
+    const TermId s = value_of(rp.s), p = value_of(rp.p), o = value_of(rp.o);
+    auto extend = [&](const rdf::Triple& t) {
       if (auto st = ticker.Tick(); !st.ok()) {
         abort_status = st;
         return EmitResult::kStop;
@@ -305,7 +322,15 @@ util::Status IndexJoinBgpSolver::Evaluate(
         er = probe(depth + 1);
       }
       for (int v : newly) row[v] = kInvalidId;
-      if (er == EmitResult::kStop) return EmitResult::kStop;
+      return er;
+    };
+    for (const rdf::Triple& t : index_.Lookup(s, p, o)) {
+      if (tombstones && tombstones->count(t)) continue;
+      if (extend(t) == EmitResult::kStop) return EmitResult::kStop;
+    }
+    if (delta_.delta) {
+      for (const rdf::Triple& t : delta_.delta->Lookup(s, p, o))
+        if (extend(t) == EmitResult::kStop) return EmitResult::kStop;
     }
     return EmitResult::kContinue;
   };

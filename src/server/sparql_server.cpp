@@ -29,32 +29,40 @@ namespace {
 
 /// Accepted connections awaiting a worker. Unlike util::Channel this hands
 /// rejected/undrained fds back to the caller — sockets must be closed, not
-/// silently dropped. Admission counts idle workers: a connection is accepted
-/// when a worker is waiting for it OR the wait queue has room, so
+/// silently dropped. Admission counts free workers: a connection is accepted
+/// when a worker is free to take it OR the wait queue has room, so
 /// queue_depth = 0 means "serve up to `workers` connections, queue none".
+/// Every worker counts as free from construction, so admission does not
+/// depend on whether the worker threads have reached Pop yet.
 class ConnQueue {
  public:
-  explicit ConnQueue(size_t cap) : cap_(cap) {}
+  ConnQueue(size_t cap, size_t workers) : cap_(cap), free_(workers) {}
 
   /// False when saturated or closed — the acceptor answers 503 and closes.
   bool TryPush(int fd) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || fds_.size() >= cap_ + idle_) return false;
+    if (closed_ || fds_.size() >= cap_ + free_) return false;
     fds_.push_back(fd);
     ready_.notify_one();
     return true;
   }
 
-  /// Blocks for the next connection; -1 once closed and drained.
+  /// Blocks for the next connection and marks the caller busy until Done;
+  /// -1 once closed and drained.
   int Pop() {
     std::unique_lock<std::mutex> lock(mu_);
-    ++idle_;
     ready_.wait(lock, [this] { return closed_ || !fds_.empty(); });
-    --idle_;
     if (fds_.empty()) return -1;
     int fd = fds_.front();
     fds_.pop_front();
+    --free_;
     return fd;
+  }
+
+  /// The caller finished the connection Pop handed it and is free again.
+  void Done() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++free_;
   }
 
   /// Closes the queue and returns any connections nobody will serve.
@@ -72,7 +80,7 @@ class ConnQueue {
   std::mutex mu_;
   std::condition_variable ready_;
   std::deque<int> fds_;
-  size_t idle_ = 0;  ///< workers parked in Pop, ready to take a connection
+  size_t free_;  ///< workers not serving a connection
   bool closed_ = false;
 };
 
@@ -115,7 +123,8 @@ struct SparqlServer::Impl {
         store(st),
         config(c),
         plan_cache(c.plan_cache_capacity),
-        queue(static_cast<size_t>(c.queue_depth < 0 ? 0 : c.queue_depth)) {}
+        queue(static_cast<size_t>(c.queue_depth < 0 ? 0 : c.queue_depth),
+              static_cast<size_t>(c.workers < 1 ? 1 : c.workers)) {}
 
   void AcceptLoop() {
     for (;;) {
@@ -153,6 +162,7 @@ struct SparqlServer::Impl {
         live_conns.erase(fd);
       }
       ::close(fd);
+      queue.Done();
     }
   }
 

@@ -158,9 +158,10 @@ util::Result<LiveStore::UpdateResult> LiveStore::Apply(
     snap->tombstones = std::make_shared<const TombstoneSet>(std::move(tombs));
     snap->delta_index = std::make_shared<const baseline::TripleIndex>(
         std::vector<rdf::Triple>(*snap->adds));
-    snap->overlay_solver = std::make_shared<const DeltaOverlaySolver>(
-        dict, snap->base_index, snap->delta_index, snap->tombstones, snap->overlay,
-        snap->overlay_limit);
+    snap->delta_solver.emplace(
+        *snap->base_index, dict,
+        baseline::DeltaView{snap->tombstones.get(), snap->delta_index.get(),
+                            snap->overlay.get(), snap->overlay_limit});
   }
   UpdateResult result{snap->epoch, inserted, deleted, snap->delta_adds(),
                       snap->tombstone_count()};

@@ -12,7 +12,9 @@
 //     small by construction) plus a *tombstone* set of deleted base triples.
 //     Terms the base dictionary lacks intern into a shared *overlay*
 //     (a LocalVocab whose ids start at dict.size()), so update-introduced
-//     terms flow through the id-based Row pipeline like stored ones.
+//     terms flow through the id-based Row pipeline like stored ones. While
+//     a delta exists, BGPs go to the baseline IndexJoinBgpSolver over an
+//     index of the whole base, given a DeltaView of the delta.
 //   * Every applied batch publishes a new immutable Snapshot under a mutex
 //     (epoch N+1). Readers pin the current snapshot at Open(): the cursor
 //     holds shared_ptr ownership of everything the execution touches
@@ -39,15 +41,18 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baseline/solvers.hpp"
 #include "rdf/reasoner.hpp"
 #include "sparql/query_engine.hpp"
-#include "store/delta_solver.hpp"
 
 namespace turbo::store {
+
+using baseline::TombstoneSet;
 
 class LiveStore {
  public:
@@ -67,7 +72,7 @@ class LiveStore {
   struct Snapshot {
     uint64_t epoch = 0;
     std::shared_ptr<const sparql::QueryEngine> engine;
-    /// Base triple index for delta-overlay scans; null while the delta is
+    /// Base triple index for delta-epoch scans; null while the delta is
     /// empty (built lazily at the first update after a compaction).
     std::shared_ptr<const baseline::TripleIndex> base_index;
     std::shared_ptr<const std::vector<rdf::Triple>> adds;
@@ -77,17 +82,18 @@ class LiveStore {
     /// are visible to this epoch.
     std::shared_ptr<const sparql::LocalVocab> overlay;
     TermId overlay_limit = 0;
-    /// Non-null iff the delta is non-empty: the solver serving this epoch's
-    /// BGPs (base minus tombstones, union delta). Null means the engine's
-    /// native solver serves reads with zero overlay overhead.
-    std::shared_ptr<const DeltaOverlaySolver> overlay_solver;
+    /// Engaged iff the delta is non-empty: the index join serving this
+    /// epoch's BGPs over the fields above (base minus tombstones, union
+    /// delta). Disengaged means the engine's native solver serves reads with
+    /// zero overlay overhead.
+    std::optional<baseline::IndexJoinBgpSolver> delta_solver;
 
-    bool has_delta() const { return overlay_solver != nullptr; }
+    bool has_delta() const { return delta_solver.has_value(); }
     size_t delta_adds() const { return adds ? adds->size() : 0; }
     size_t tombstone_count() const { return tombstones ? tombstones->size() : 0; }
     const rdf::Dictionary& dict() const { return engine->dict(); }
     const sparql::BgpSolver& solver() const {
-      return has_delta() ? static_cast<const sparql::BgpSolver&>(*overlay_solver)
+      return has_delta() ? static_cast<const sparql::BgpSolver&>(*delta_solver)
                          : engine->solver();
     }
   };

@@ -1,5 +1,5 @@
 // RegionArena unit tests plus the arena-reuse regression suite: identical
-// results and deterministic stats with reuse_region_memory on vs off across
+// results and deterministic stats from a cold arena and a warm one across
 // the full toggle matrix, warm-arena reuse across queries on one Matcher,
 // and no stale-candidate leakage when a shared ArenaPool hops between
 // Matchers bound to different datasets (the ASan CI job turns any lifetime
@@ -103,17 +103,17 @@ TEST(MemoMapTest, PutFindReset) {
 
 TEST(RegionArenaTest, PooledStoreRoundTrip) {
   RegionArena a;
-  a.PrepareQuery(4, /*pooled=*/true);
+  a.PrepareQuery(4);
   // Two lists on node 1 (depth 1), interleaved with one on node 2 (depth 2):
   // the exploration DFS pattern (deeper lists open and close while a
   // shallower one is still open).
-  a.BeginList(1, 1, 100);
-  a.Append(1, 1, 10);
-  a.BeginList(2, 2, 10);
-  a.Append(2, 2, 20);
-  a.Append(2, 2, 21);
+  a.BeginList(1, 1);
+  a.Append(1, 10);
+  a.BeginList(2, 2);
+  a.Append(2, 20);
+  a.Append(2, 21);
   EXPECT_EQ(a.EndList(2, 2, 10), 2u);
-  a.Append(1, 1, 11);
+  a.Append(1, 11);
   EXPECT_EQ(a.EndList(1, 1, 100), 2u);
 
   auto l1 = a.Lookup(1, 1, 100);
@@ -130,28 +130,6 @@ TEST(RegionArenaTest, PooledStoreRoundTrip) {
   EXPECT_TRUE(a.Lookup(2, 2, 10).empty());
 }
 
-TEST(RegionArenaTest, LegacyStoreMatchesPooledSemantics) {
-  for (bool pooled : {true, false}) {
-    RegionArena a;
-    a.PrepareQuery(3, pooled);
-    a.BeginList(1, 1, 5);
-    a.Append(1, 1, 1);
-    a.Append(1, 1, 2);
-    a.Append(1, 1, 3);
-    EXPECT_EQ(a.EndList(1, 1, 5), 3u) << "pooled=" << pooled;
-    auto l = a.Lookup(1, 1, 5);
-    ASSERT_EQ(l.size(), 3u) << "pooled=" << pooled;
-    EXPECT_EQ(l[2], 3u);
-    EXPECT_TRUE(a.Lookup(2, 1, 5).empty());
-    a.MemoPut(99, true);
-    EXPECT_EQ(a.MemoFind(99), 1);
-    EXPECT_EQ(a.MemoFind(98), -1);
-    a.ResetRegion();
-    EXPECT_TRUE(a.Lookup(1, 1, 5).empty());
-    EXPECT_EQ(a.MemoFind(99), -1);
-  }
-}
-
 TEST(ArenaPoolTest, AcquireWarmsOnRelease) {
   ArenaPool pool;
   auto a = pool.Acquire();
@@ -166,11 +144,12 @@ TEST(ArenaPoolTest, AcquireWarmsOnRelease) {
 }
 
 // ---------------------------------------------------------------------------
-// Reuse on/off equivalence over the randomized matrix.
+// Cold vs warm arena equivalence over the randomized matrix.
 // ---------------------------------------------------------------------------
 
 /// The deterministic slice of MatchStats (excludes wall-clock timings and
-/// the arena bookkeeping, which legitimately differ between storage modes).
+/// the arena bookkeeping, which legitimately differ between cold and warm
+/// arenas).
 std::string DeterministicStats(const MatchStats& s) {
   std::string out;
   out += "solutions=" + std::to_string(s.num_solutions);
@@ -183,6 +162,20 @@ std::string DeterministicStats(const MatchStats& s) {
   out += " order=";
   for (uint32_t v : s.matching_order) out += std::to_string(v) + ",";
   return out;
+}
+
+graph::QueryGraph PathQuery(const graph::DataGraph& g, uint32_t len, uint64_t seed) {
+  util::Rng rng(seed);
+  graph::QueryGraph q;
+  for (uint32_t i = 0; i <= len; ++i) q.AddVertex({});
+  for (uint32_t i = 0; i < len; ++i) {
+    graph::QueryEdge e;
+    e.from = i;
+    e.to = i + 1;
+    e.label = static_cast<EdgeLabelId>(rng.Below(std::max<uint32_t>(1, g.num_edge_labels())));
+    q.AddEdge(e);
+  }
+  return q;
 }
 
 TEST(ArenaReuse, IdenticalResultsAndStatsAcrossToggleMatrix) {
@@ -209,27 +202,23 @@ TEST(ArenaReuse, IdenticalResultsAndStatsAcrossToggleMatrix) {
       e.label = static_cast<EdgeLabelId>(rng.Below(g.num_edge_labels()));
       q.AddEdge(e);
     }
+    // A longer path query of a different shape leaves the shared pool's
+    // arena holding candidate lists, memo entries and grown scratch from
+    // an unrelated tree before every warm run below.
+    const graph::QueryGraph warmup = PathQuery(g, 4, seed);
 
     for (MatchSemantics sem :
          {MatchSemantics::kHomomorphism, MatchSemantics::kIsomorphism}) {
-      // Only the paper's 16 combos: the reuse bit is the variable under test.
-      for (int mask = 0; mask < 16; ++mask) {
-        MatchOptions on;
-        on.semantics = sem;
-        on.use_intersection = mask & 1;
-        on.use_nlf = mask & 2;
-        on.use_degree_filter = mask & 4;
-        on.reuse_matching_order = mask & 8;
-        on.reuse_region_memory = true;
-        MatchOptions off = on;
-        off.reuse_region_memory = false;
-
-        MatchStats s_on, s_off;
-        auto r_on = engine::Matcher(g, on).FindAll(q, &s_on);
-        auto r_off = engine::Matcher(g, off).FindAll(q, &s_off);
-        EXPECT_EQ(r_on, r_off) << DescribeToggles(on);
-        EXPECT_EQ(DeterministicStats(s_on), DeterministicStats(s_off))
-            << DescribeToggles(on);
+      for (const MatchOptions& o : AllToggleCombos(sem)) {
+        ArenaPool pool;
+        engine::Matcher(g, o, &pool).Count(warmup);
+        MatchStats s_cold, s_warm;
+        auto r_cold = engine::Matcher(g, o).FindAll(q, &s_cold);
+        auto r_warm = engine::Matcher(g, o, &pool).FindAll(q, &s_warm);
+        ASSERT_EQ(s_warm.arena_warm, s_warm.arena_workers) << DescribeToggles(o);
+        EXPECT_EQ(r_cold, r_warm) << DescribeToggles(o);
+        EXPECT_EQ(DeterministicStats(s_cold), DeterministicStats(s_warm))
+            << DescribeToggles(o);
       }
     }
   }
@@ -238,20 +227,6 @@ TEST(ArenaReuse, IdenticalResultsAndStatsAcrossToggleMatrix) {
 // ---------------------------------------------------------------------------
 // Warm-arena correctness across queries and across datasets.
 // ---------------------------------------------------------------------------
-
-graph::QueryGraph PathQuery(const graph::DataGraph& g, uint32_t len, uint64_t seed) {
-  util::Rng rng(seed);
-  graph::QueryGraph q;
-  for (uint32_t i = 0; i <= len; ++i) q.AddVertex({});
-  for (uint32_t i = 0; i < len; ++i) {
-    graph::QueryEdge e;
-    e.from = i;
-    e.to = i + 1;
-    e.label = static_cast<EdgeLabelId>(rng.Below(std::max<uint32_t>(1, g.num_edge_labels())));
-    q.AddEdge(e);
-  }
-  return q;
-}
 
 TEST(ArenaReuse, WarmArenaAcrossQueriesOfDifferentShapes) {
   util::Rng rng(77);

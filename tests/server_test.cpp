@@ -5,7 +5,8 @@
 //    get a 400 whose body carries the parse error; per-request deadline maps
 //    to 408 before the first row and an in-body stop marker after it;
 //  * admission control: a saturated worker pool answers 503 immediately and
-//    recovers once the pool drains;
+//    recovers once the pool drains; the first request after Start() is
+//    served even before the worker threads are parked;
 //  * teardown: a client that disconnects mid-stream abandons the cursor and
 //    stops the producer (no leaked producer thread — Stop() joins
 //    everything, and the suite runs under ASan/TSan in CI);
@@ -317,6 +318,27 @@ TEST(ServerAdmission, SaturatedPoolAnswers503ThenRecovers) {
   }
   EXPECT_EQ(again.status, 200);
   server.Stop();
+}
+
+TEST(ServerAdmission, FirstRequestRightAfterStartIsServed) {
+  // The tightest pool: the one worker must count as free from Start(), even
+  // if its thread has not reached the connection queue when the first
+  // request lands. Fresh servers per round, so each round races a cold start.
+  rdf::Dataset ds = TinyData();
+  GateSolver solver(ds.dict(), 4, /*gated=*/false);
+  QueryEngine engine(&solver);
+  ServerConfig config;
+  config.workers = 1;
+  config.queue_depth = 0;
+  for (int round = 0; round < 50; ++round) {
+    SparqlServer server(&engine, config);
+    ASSERT_TRUE(server.Start().ok());
+    HttpResponse res;
+    ASSERT_TRUE(HttpGet(server.port(), "/stats", &res).ok());
+    EXPECT_EQ(res.status, 200) << "round " << round;
+    EXPECT_EQ(server.stats().rejected_overload, 0u) << "round " << round;
+    server.Stop();
+  }
 }
 
 TEST(ServerTeardown, MidStreamDisconnectAbandonsCursor) {
